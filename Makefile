@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline recover chaos shell analyze optimizer shard failover mvcc artifacts clean
+.PHONY: install test lint lint-graph bench wallbench figures mix pipeline recover chaos shell analyze optimizer shard failover mvcc artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -30,6 +30,13 @@ lint-graph:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Wall-clock benchmark: every workload for 30 s, untraced, each
+# golden-checked (see wallbench/README.md).
+wallbench:
+	for w in paper-trees mix-si shard-8-sync; do \
+		$(PYTHON) wallbench/run.py --workload $$w --seconds 30 --trace 0 || exit 1; \
+	done
 
 # Regenerate every paper figure into results/ and print them.
 figures:

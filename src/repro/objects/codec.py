@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.errors import SchemaError
-from repro.objects.header import ObjectHeader
+from repro.objects.header import FIXED_SIZE, ObjectHeader
 from repro.objects.model import AttrKind, AttributeDef, ClassDef
 from repro.storage.rid import NIL_RID, Rid
 
@@ -43,9 +45,12 @@ def encode_rid(rid: Rid) -> bytes:
     return _RID.pack(rid.file_id, rid.page_no, rid.slot)
 
 
+#: ``Rid`` from an unpacked ``(file_id, page_no, slot)`` tuple, at C speed.
+_make_rid = partial(tuple.__new__, Rid)
+
+
 def decode_rid(buf: bytes, offset: int = 0) -> Rid:
-    file_id, page_no, slot = _RID.unpack_from(buf, offset)
-    return Rid(file_id, page_no, slot)
+    return _make_rid(_RID.unpack_from(buf, offset))
 
 
 @dataclass(frozen=True)
@@ -68,17 +73,32 @@ class OverflowSet:
 
 
 class RecordCodec:
-    """Encodes/decodes instances of one class."""
+    """Encodes/decodes instances of one class version.
+
+    Built once per :class:`ClassDef` (its ``codec``): the scalar offsets
+    and one reader closure per attribute are resolved here, so decoding
+    an attribute is a dict lookup and a call.
+    """
 
     def __init__(self, class_def: ClassDef):
         self.class_def = class_def
-        self._offsets: dict[str, int] = {}
+        layout = class_def.all_attributes()
+        #: Scalar attributes in storage order, then set attributes.
+        self.scalars = tuple(a for a in layout if not a.is_variable)
+        self.sets = tuple(a for a in layout if a.is_variable)
+        #: scalar name -> (attribute, offset past the header).
+        self._scalar_at: dict[str, tuple[AttributeDef, int]] = {}
+        #: name -> (kind, reader), in storage order; a reader decodes its
+        #: attribute from a whole record.
+        self.fields: dict[str, tuple[AttrKind, Callable[[bytes], object]]] = {}
         offset = 0
-        for attr in class_def.scalar_attributes():
-            self._offsets[attr.name] = offset
+        for attr in self.scalars:
+            self._scalar_at[attr.name] = (attr, offset)
+            self.fields[attr.name] = (attr.kind, _scalar_reader(attr, offset))
             offset += attr.fixed_size  # type: ignore[operator]
         self.scalar_size = offset
-        self._set_attrs = class_def.set_attributes()
+        for index, attr in enumerate(self.sets):
+            self.fields[attr.name] = (attr.kind, _set_reader(offset, index))
 
     # -- encoding -----------------------------------------------------------
 
@@ -88,11 +108,11 @@ class RecordCodec:
         :class:`OverflowSet`, or a plain sequence of rids (encoded
         inline; the caller must have checked the inline limit)."""
         parts = [header.encode()]
-        for attr in self.class_def.scalar_attributes():
+        for attr in self.scalars:
             parts.append(
                 self._encode_scalar(attr, values.get(attr.name, attr.default))
             )
-        for attr in self._set_attrs:
+        for attr in self.sets:
             parts.append(self._encode_set(attr, values.get(attr.name)))
         return b"".join(parts)
 
@@ -134,37 +154,29 @@ class RecordCodec:
 
     def decode_attr(self, record: bytes, name: str) -> object:
         """Decode a single attribute without touching the others."""
-        attr = self.class_def.attribute(name)
-        base = ObjectHeader.peek_size(record)
-        if not attr.is_variable:
-            return self._decode_scalar(record, base + self._offsets[name], attr)
-        offset = base + self.scalar_size
-        for set_attr in self._set_attrs:
-            value, offset = self._decode_set(record, offset)
-            if set_attr.name == name:
-                return value
-        raise SchemaError(f"attribute {name!r} not found while decoding")
+        field = self.fields.get(name)
+        if field is None:
+            raise SchemaError(
+                f"class {self.class_def.name!r} has no attribute {name!r}"
+            )
+        return field[1](record)
 
     def decode(self, record: bytes) -> dict[str, object]:
         """Decode every attribute."""
-        base = ObjectHeader.peek_size(record)
-        out: dict[str, object] = {}
-        for attr in self.class_def.scalar_attributes():
-            out[attr.name] = self._decode_scalar(
-                record, base + self._offsets[attr.name], attr
-            )
-        offset = base + self.scalar_size
-        for attr in self._set_attrs:
-            out[attr.name], offset = self._decode_set(record, offset)
-        return out
+        return {name: reader(record) for name, (__, reader) in self.fields.items()}
 
     def update_scalar(self, record: bytes, name: str, value: object) -> bytes:
         """Return a copy of ``record`` with one scalar attribute replaced
         (same size, so the record never moves for scalar updates)."""
-        attr = self.class_def.attribute(name)
-        if attr.is_variable:
-            raise SchemaError(f"{name!r} is a set attribute; use update_set")
-        offset = ObjectHeader.peek_size(record) + self._offsets[name]
+        slot = self._scalar_at.get(name)
+        if slot is None:
+            if name in self.fields:
+                raise SchemaError(f"{name!r} is a set attribute; use update_set")
+            raise SchemaError(
+                f"class {self.class_def.name!r} has no attribute {name!r}"
+            )
+        attr, offset = slot
+        offset += ObjectHeader.peek_size(record)
         encoded = self._encode_scalar(attr, value)
         return record[:offset] + encoded + record[offset + len(encoded):]
 
@@ -173,25 +185,13 @@ class RecordCodec:
         (the record may change size and therefore move on disk)."""
         base = ObjectHeader.peek_size(record)
         offset = base + self.scalar_size
-        for attr in self._set_attrs:
+        for attr in self.sets:
             start = offset
             __, offset = self._decode_set(record, offset)
             if attr.name == name:
                 encoded = self._encode_set(attr, value)
                 return record[:start] + encoded + record[offset:]
         raise SchemaError(f"class {self.class_def.name!r} has no set {name!r}")
-
-    def _decode_scalar(self, record: bytes, offset: int, attr: AttributeDef) -> object:
-        kind = attr.kind
-        if kind is AttrKind.STRING:
-            raw = record[offset : offset + attr.width]
-            return raw.rstrip(b"\x00").decode("utf-8", errors="replace")
-        if kind is AttrKind.CHAR:
-            return record[offset : offset + 1].decode("latin-1")
-        if kind is AttrKind.REF:
-            rid = decode_rid(record, offset)
-            return None if rid == NIL_RID else rid
-        return _SCALAR_STRUCTS[kind].unpack_from(record, offset)[0]
 
     @staticmethod
     def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, int]:
@@ -200,7 +200,62 @@ class RecordCodec:
         if tag == 1:
             head = decode_rid(record, offset)
             return OverflowSet(head, count), offset + _RID.size
-        rids = tuple(
-            decode_rid(record, offset + i * _RID.size) for i in range(count)
-        )
-        return InlineSet(rids), offset + count * _RID.size
+        end = offset + count * _RID.size
+        rids = tuple(map(_make_rid, _RID.iter_unpack(record[offset:end])))
+        return InlineSet(rids), end
+
+
+# -- compiled readers ----------------------------------------------------------
+#
+# Each reader decodes one attribute from a whole record, with its kind
+# and offset bound when the codec is built.  ``FIXED_SIZE + 2 *
+# record[3]`` is ObjectHeader.peek_size inlined.
+
+
+def _scalar_reader(attr: AttributeDef, offset: int) -> Callable[[bytes], object]:
+    kind = attr.kind
+    if kind is AttrKind.STRING:
+        width = attr.width
+
+        def read_string(record: bytes) -> object:
+            start = FIXED_SIZE + 2 * record[3] + offset
+            raw = record[start : start + width]
+            return raw.rstrip(b"\x00").decode("utf-8", errors="replace")
+
+        return read_string
+    if kind is AttrKind.CHAR:
+
+        def read_char(record: bytes) -> object:
+            start = FIXED_SIZE + 2 * record[3] + offset
+            return record[start : start + 1].decode("latin-1")
+
+        return read_char
+    if kind is AttrKind.REF:
+        unpack_rid = _RID.unpack_from
+
+        def read_ref(record: bytes) -> object:
+            rid = _make_rid(unpack_rid(record, FIXED_SIZE + 2 * record[3] + offset))
+            return None if rid == NIL_RID else rid
+
+        return read_ref
+    unpack = _SCALAR_STRUCTS[kind].unpack_from
+
+    def read_number(record: bytes) -> object:
+        return unpack(record, FIXED_SIZE + 2 * record[3] + offset)[0]
+
+    return read_number
+
+
+def _set_reader(scalar_size: int, index: int) -> Callable[[bytes], object]:
+    """Reader for the ``index``-th set attribute: skips the sets before
+    it by their prefixes alone."""
+    unpack_prefix = _SET_PREFIX.unpack_from
+
+    def read_set(record: bytes) -> object:
+        offset = FIXED_SIZE + 2 * record[3] + scalar_size
+        for __ in range(index):
+            tag, count = unpack_prefix(record, offset)
+            offset += _SET_PREFIX.size + (_RID.size if tag == 1 else count * _RID.size)
+        return RecordCodec._decode_set(record, offset)[0]
+
+    return read_set

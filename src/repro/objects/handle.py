@@ -120,8 +120,10 @@ class HandleTable:
         if delayed_free_capacity < 0:
             raise ValueError("delayed_free_capacity must be >= 0")
         self.clock = clock
-        self.params = params
         self.counters = counters
+        #: Fixed for the table's life; ``mode`` may change (the Section
+        #: 4.4 ablation switches it), and re-prices the charges.
+        self.params = params
         self.mode = mode
         self.delayed_free_capacity = delayed_free_capacity
         self._live: dict[Rid, Handle] = {}
@@ -131,7 +133,51 @@ class HandleTable:
         #: distinct representatives of the same object.  Dropped at
         #: refcount zero — the delayed-free list is for live records.
         self._versioned: dict[tuple[Rid, int], Handle] = {}
-        self.peak_live = 0
+
+    @property
+    def mode(self) -> HandleMode:
+        return self._mode
+
+    @mode.setter
+    def mode(self, mode: HandleMode) -> None:
+        self._mode = mode
+        self._price()
+
+    def _price(self) -> None:
+        """Resolve every handle charge for the current params and mode,
+        once instead of on every charge (same float operations, so the
+        same amounts).
+
+        Literal handles (:meth:`charge_literal`): FULL mode pays the full
+        get+unref pair; COMPACT_LITERALS pays the compact pair;
+        INLINE_TUPLES pays nothing for *fixed-size* literals (they are
+        embedded in their owner's tuple — Section 4.4) and the compact
+        pair for variable-size ones; BULK pays the amortized full pair.
+        """
+        params = self.params
+        mode = self._mode
+        touch = params.handle_get_us * _TOUCH_FRACTION
+        alloc = params.handle_get_us
+        unref = params.handle_unref_us
+        full_pair = params.handle_get_us + params.handle_unref_us
+        compact_pair = params.compact_handle_get_us + params.compact_handle_unref_us
+        literal_fixed: float | None = full_pair
+        literal_variable = full_pair
+        if mode is HandleMode.BULK:
+            touch *= params.bulk_handle_factor
+            alloc *= params.bulk_handle_factor
+            unref *= params.bulk_handle_factor
+            literal_fixed = literal_variable = full_pair * params.bulk_handle_factor
+        elif mode is HandleMode.COMPACT_LITERALS:
+            literal_fixed = literal_variable = compact_pair
+        elif mode is HandleMode.INLINE_TUPLES:
+            literal_fixed = None
+            literal_variable = compact_pair
+        self._touch_us = touch
+        self._alloc_us = alloc
+        self._unref_us = unref
+        self._literal_fixed_us = literal_fixed
+        self._literal_variable_us = literal_variable
 
     # -- object handles -------------------------------------------------
 
@@ -154,20 +200,19 @@ class HandleTable:
         handle = self._live.get(rid)
         if handle is not None:
             handle.refcount += 1
-            self._charge_alloc(_TOUCH_FRACTION)
+            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
             return handle
         handle = self._parked.pop(rid, None)
         if handle is not None:
             handle.refcount = 1
             self._live[rid] = handle
-            self._charge_alloc(_TOUCH_FRACTION)
+            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
             return handle
         record, class_def = loader()
         handle = Handle(rid, record, class_def)
         self._live[rid] = handle
-        self.peak_live = max(self.peak_live, len(self._live))
         self.counters.handles_allocated += 1
-        self._charge_alloc(1.0)
+        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
         return handle
 
     def _get_versioned(
@@ -180,14 +225,14 @@ class HandleTable:
         handle = self._versioned.get(key)
         if handle is not None:
             handle.refcount += 1
-            self._charge_alloc(_TOUCH_FRACTION)
+            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
             return handle
         record, class_def = loader()
         handle = Handle(rid, record, class_def)
         handle.version = version
         self._versioned[key] = handle
         self.counters.handles_allocated += 1
-        self._charge_alloc(1.0)
+        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
         return handle
 
     def unreference(self, handle: Handle) -> None:
@@ -198,7 +243,7 @@ class HandleTable:
             raise HandleError(f"double unreference of {handle!r}")
         handle.refcount -= 1
         self.counters.handles_unreferenced += 1
-        self._charge_unref()
+        self.clock.charge_us(Bucket.HANDLE, self._unref_us)
         if handle.refcount == 0:
             if handle.version is not None:
                 self._versioned.pop((handle.rid, handle.version), None)
@@ -210,27 +255,11 @@ class HandleTable:
 
     def charge_literal(self, fixed_size: bool = True) -> None:
         """Account for the handle O2 gives a string/complex-value literal
-        when an attribute of that kind is materialized.
-
-        FULL mode pays the full get+unref pair; COMPACT_LITERALS pays the
-        compact pair; INLINE_TUPLES pays nothing for *fixed-size*
-        literals (they are embedded in their owner's tuple — Section 4.4)
-        and the compact pair for variable-size ones; BULK pays the
-        amortized full pair.
-        """
-        params = self.params
-        if self.mode is HandleMode.FULL:
-            us = params.handle_get_us + params.handle_unref_us
-        elif self.mode is HandleMode.COMPACT_LITERALS:
-            us = params.compact_handle_get_us + params.compact_handle_unref_us
-        elif self.mode is HandleMode.INLINE_TUPLES:
-            if fixed_size:
-                return
-            us = params.compact_handle_get_us + params.compact_handle_unref_us
-        else:  # BULK
-            us = (
-                params.handle_get_us + params.handle_unref_us
-            ) * params.bulk_handle_factor
+        when an attribute of that kind is materialized; the amount
+        depends on the :class:`HandleMode` (see :meth:`_price`)."""
+        us = self._literal_fixed_us if fixed_size else self._literal_variable_us
+        if us is None:
+            return
         self.counters.handles_allocated += 1
         self.counters.handles_unreferenced += 1
         self.clock.charge_us(Bucket.HANDLE, us)
@@ -279,18 +308,6 @@ class HandleTable:
             del self._versioned[key]
 
     # -- internals -------------------------------------------------------
-
-    def _charge_alloc(self, fraction: float) -> None:
-        us = self.params.handle_get_us * fraction
-        if self.mode is HandleMode.BULK:
-            us *= self.params.bulk_handle_factor
-        self.clock.charge_us(Bucket.HANDLE, us)
-
-    def _charge_unref(self) -> None:
-        us = self.params.handle_unref_us
-        if self.mode is HandleMode.BULK:
-            us *= self.params.bulk_handle_factor
-        self.clock.charge_us(Bucket.HANDLE, us)
 
     def _park(self, handle: Handle) -> None:
         if self.delayed_free_capacity == 0:

@@ -34,6 +34,9 @@ INDEX_SLOT_BLOCK = 8
 
 #: Struct for the fixed part: flags, class_id, slot count, schema version.
 _FIXED = struct.Struct("<BHBB")
+#: Bytes of the fixed part.  A record's payload starts at
+#: ``FIXED_SIZE + 2 * record[3]`` (:meth:`ObjectHeader.peek_size`).
+FIXED_SIZE = _FIXED.size
 
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02

@@ -9,10 +9,7 @@ strings and complex values (Section 4.4).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.errors import DanglingReferenceError, ObjectError
+from repro.errors import DanglingReferenceError, ObjectError, SchemaError
 from repro.objects.codec import InlineSet, OverflowSet, RecordCodec
 from repro.objects.handle import Handle, HandleTable
 from repro.objects.header import ObjectHeader
@@ -31,7 +28,6 @@ class ObjectManager:
         self.disk = disk
         self.handles = handles
         self._files: dict[int, StorageFile] = {}
-        self._codecs: dict[int, RecordCodec] = {}
         #: Duck-typed MVCC hook (``objects`` sits below ``txn`` in the
         #: layer order, so the type is never imported): while a
         #: snapshot-isolation transaction is the active session, the
@@ -57,12 +53,7 @@ class ObjectManager:
             ) from None
 
     def codec(self, class_def: ClassDef) -> RecordCodec:
-        key = (class_def.class_id, class_def.schema_version)
-        codec = self._codecs.get(key)
-        if codec is None:
-            codec = RecordCodec(class_def)
-            self._codecs[key] = codec
-        return codec
+        return class_def.codec
 
     # -- loading ----------------------------------------------------------
 
@@ -91,18 +82,14 @@ class ObjectManager:
         """"unreference h" in Figure 8."""
         self.handles.unreference(handle)
 
-    @contextmanager
-    def borrow(self, rid: Rid) -> Iterator[Handle]:
+    def borrow(self, rid: Rid) -> Borrow:
         """``load`` + guaranteed ``unref``: the exception-safe form of
-        Figure 8's get-handle/unreference bracket.  Charges exactly what
+        Figure 8's get-handle/unreference bracket,
+        ``with om.borrow(rid) as handle: ...``.  Charges exactly what
         the load/unref pair charges; exists so a predicate or projection
         raising mid-bracket (transaction abort, injected crash) cannot
         leak the handle and pin its page frame."""
-        handle = self.load(rid)
-        try:
-            yield handle
-        finally:
-            self.unref(handle)
+        return Borrow(self, rid)
 
     # -- attribute access -------------------------------------------------------
 
@@ -114,18 +101,26 @@ class ObjectManager:
         attribute added by schema evolution *after* this record was
         written, the attribute's declared default is returned.
         """
-        params = self.handles.params
-        self.handles.clock.charge_us(Bucket.CPU, params.attr_decode_us)
-        if not handle.class_def.has_attribute(name):
-            latest = self.schema.by_id(handle.class_def.class_id)
-            if latest.has_attribute(name):
-                return latest.attribute(name).default
-        attr = handle.class_def.attribute(name)
-        if attr.kind is AttrKind.STRING:
-            self.handles.charge_literal(fixed_size=True)
-        elif attr.kind is AttrKind.REF_SET:
-            self.handles.charge_literal(fixed_size=False)
-        return self.codec(handle.class_def).decode_attr(handle.record, name)
+        handles = self.handles
+        handles.clock.charge_us(Bucket.CPU, handles.params.attr_decode_us)
+        field = handle.class_def.codec.fields.get(name)
+        if field is None:
+            return self._evolved_default(handle.class_def, name)
+        kind, reader = field
+        if kind is AttrKind.STRING:
+            handles.charge_literal(fixed_size=True)
+        elif kind is AttrKind.REF_SET:
+            handles.charge_literal(fixed_size=False)
+        return reader(handle.record)
+
+    def _evolved_default(self, class_def: ClassDef, name: str) -> object:
+        """The default of an attribute the class gained after the record
+        was written (schema evolution); ``SchemaError`` if no version of
+        the class has it."""
+        latest = self.schema.by_id(class_def.class_id)
+        if latest.has_attribute(name):
+            return latest.attribute(name).default
+        raise SchemaError(f"class {class_def.name!r} has no attribute {name!r}")
 
     def get_attr_at(self, rid: Rid, name: str) -> object:
         """Convenience: load, read one attribute, unreference."""
@@ -209,6 +204,24 @@ class ObjectManager:
                 handle = table.get(key)
                 if handle is not None:
                     handle.record = new_record
+
+
+class Borrow:
+    """What :meth:`ObjectManager.borrow` returns: the handle is loaded on
+    construction and unreferenced on exit, whether or not the ``with``
+    body raised."""
+
+    __slots__ = ("_manager", "_handle")
+
+    def __init__(self, manager: ObjectManager, rid: Rid):
+        self._manager = manager
+        self._handle = manager.load(rid)
+
+    def __enter__(self) -> Handle:
+        return self._handle
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._manager.unref(self._handle)
 
 
 def require_class(schema: Schema, name: str) -> ClassDef:

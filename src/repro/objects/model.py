@@ -10,10 +10,14 @@ that way ("16 characters strings", Section 2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import SchemaError
 from repro.storage.rid import Rid
+
+if TYPE_CHECKING:
+    from repro.objects.codec import RecordCodec
 
 
 class AttrKind(enum.Enum):
@@ -72,7 +76,7 @@ class AttributeDef:
         return self.kind is AttrKind.REF_SET
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassDef:
     """A class: named, numbered, with ordered attributes and an optional
     superclass (attributes are inherited, prepended in superclass order).
@@ -81,36 +85,59 @@ class ClassDef:
     version they were written under, and decode with that version's
     layout (dynamic class evolution — one of the O2 features the paper's
     Section 4.4 lists among the reasons handles are heavy).
+
+    A class version is immutable: its layout, its name-keyed attribute
+    map and its :class:`~repro.objects.codec.RecordCodec` are compiled
+    once here, and evolution (:meth:`Schema.evolve`) builds a new
+    ``ClassDef`` instead of editing this one.
     """
 
     name: str
     class_id: int
-    attributes: list[AttributeDef]
+    #: Own attributes (a list is accepted and frozen into a tuple).
+    attributes: tuple[AttributeDef, ...]
     superclass: "ClassDef | None" = None
     schema_version: int = 0
+    #: The record codec compiled for this version's layout.
+    codec: "RecordCodec" = field(init=False, repr=False, compare=False)
+    _layout: tuple[AttributeDef, ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _by_name: dict[str, AttributeDef] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for attr in self.all_attributes():
-            if attr.name in seen:
+        from repro.objects.codec import RecordCodec
+
+        own = tuple(self.attributes)
+        inherited = self.superclass._layout if self.superclass else ()
+        by_name: dict[str, AttributeDef] = {}
+        for attr in inherited + own:
+            if attr.name in by_name:
                 raise SchemaError(
                     f"class {self.name!r}: duplicate attribute {attr.name!r}"
                 )
-            seen.add(attr.name)
+            by_name[attr.name] = attr
+        object.__setattr__(self, "attributes", own)
+        object.__setattr__(self, "_layout", inherited + own)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "codec", RecordCodec(self))
 
-    def all_attributes(self) -> list[AttributeDef]:
+    def all_attributes(self) -> tuple[AttributeDef, ...]:
         """Inherited attributes first, then own (stable storage layout)."""
-        inherited = self.superclass.all_attributes() if self.superclass else []
-        return inherited + self.attributes
+        return self._layout
 
     def attribute(self, name: str) -> AttributeDef:
-        for attr in self.all_attributes():
-            if attr.name == name:
-                return attr
-        raise SchemaError(f"class {self.name!r} has no attribute {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(
+                f"class {self.name!r} has no attribute {name!r}"
+            ) from None
 
     def has_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.all_attributes())
+        return name in self._by_name
 
     def is_subclass_of(self, other: "ClassDef") -> bool:
         """Reflexive subclass test (exact-type info lives in headers)."""
@@ -121,11 +148,11 @@ class ClassDef:
             cls = cls.superclass
         return False
 
-    def scalar_attributes(self) -> list[AttributeDef]:
-        return [a for a in self.all_attributes() if not a.is_variable]
+    def scalar_attributes(self) -> tuple[AttributeDef, ...]:
+        return self.codec.scalars
 
-    def set_attributes(self) -> list[AttributeDef]:
-        return [a for a in self.all_attributes() if a.is_variable]
+    def set_attributes(self) -> tuple[AttributeDef, ...]:
+        return self.codec.sets
 
 
 class Schema:
@@ -184,7 +211,7 @@ class Schema:
         evolved = ClassDef(
             name,
             current.class_id,
-            current.attributes + new_attributes,
+            current.attributes + tuple(new_attributes),
             current.superclass,
             current.schema_version + 1,
         )

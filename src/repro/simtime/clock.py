@@ -31,6 +31,11 @@ class Bucket(enum.Enum):
     BACKOFF = "backoff"      # retry backoff after aborts / faults
     REMOTE = "remote"        # waiting on parallel work at remote shards
 
+    #: Members are singletons, so identity hashing is consistent with
+    #: equality, and it is C-level where Enum's default hashes the name
+    #: in Python on every charge.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class SimClock:

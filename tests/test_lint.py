@@ -393,6 +393,43 @@ def test_cli_write_and_use_baseline(tmp_path, capsys):
     assert "baselined" in out
 
 
+def test_escape_and_may_yield_key_on_borrow_calls():
+    """``ObjectManager.borrow`` returns a context-manager object, not a
+    ``@contextmanager`` generator.  The rules key on the call name
+    ``borrow``, so leaks are still flagged and every caller in the tree
+    still may yield (the load that can fault runs in ``Borrow``)."""
+    import inspect
+
+    from repro.objects.manager import Borrow, ObjectManager
+
+    assert not inspect.isgeneratorfunction(ObjectManager.borrow)
+    assert hasattr(Borrow, "__enter__") and hasattr(Borrow, "__exit__")
+
+    findings = lint_fixture("escape/escape_bad.py", ("ESCAPE",))
+    assert [f.line for f in findings] == [6, 12, 18, 24, 30]
+
+    result = lint_paths(None, load_config(REPO_ROOT))
+    graph = result.project.callgraph
+    callers = [
+        info for info in result.project.functions
+        if "borrow" in info.called_names
+    ]
+    assert len(callers) > 10
+    for info in callers:
+        assert graph.may_yield(info), info.qualname
+    init = next(
+        info for info in result.project.functions
+        if info.qualname == "Borrow.__init__"
+    )
+    assert "load()" in graph.yield_chain(init)
+
+
+def test_cli_reports_zero_findings_on_the_tree(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    assert lint_main([]) == 0
+    assert "0 findings" in capsys.readouterr().out
+
+
 # -- the meta-test: this repository is clean --------------------------------
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,3 +337,136 @@ class TestRecordCodec:
         ) or decoded_name == name
         assert codec.decode_attr(record, "mrn") == mrn
         assert codec.decode_attr(record, "age") == age
+
+
+# ------------------------------------------------------------- compiled layout
+
+def every_kind_schema() -> Schema:
+    """One attribute of every kind, two sets (so a set reader has to skip
+    the one before it)."""
+    schema = Schema()
+    schema.define(
+        "Base",
+        [
+            AttributeDef("label", AttrKind.STRING, width=6),
+            AttributeDef("grade", AttrKind.CHAR),
+        ],
+    )
+    schema.define(
+        "Every",
+        [
+            AttributeDef("owner", AttrKind.REF, target="Every"),
+            AttributeDef("flag", AttrKind.BOOL),
+            AttributeDef("weight", AttrKind.REAL64),
+            AttributeDef("count", AttrKind.INT32),
+            AttributeDef("first", AttrKind.REF_SET, target="Every"),
+            AttributeDef("second", AttrKind.REF_SET, target="Every"),
+        ],
+        superclass="Base",
+    )
+    return schema
+
+
+_INLINE = InlineSet((Rid(1, 0, 0), Rid(1, 2, 3)))
+_OVERFLOW = OverflowSet(Rid(9, 4, 0), 1000)
+
+_VALUE_CASES = {
+    "padded-string-nil-ref": {
+        "label": "ab", "grade": "Q", "owner": None, "flag": True,
+        "weight": 2.5, "count": -7, "first": _INLINE, "second": _OVERFLOW,
+    },
+    "full-width-string-ref": {
+        "label": "abcdef", "grade": "z", "owner": Rid(3, 1, 4), "flag": False,
+        "weight": -1e300, "count": 2**31 - 1, "first": _OVERFLOW,
+        "second": _INLINE,
+    },
+    "empty-sets": {
+        "label": "", "grade": "\x00", "owner": NIL_RID, "flag": False,
+        "weight": 0.0, "count": 0, "first": InlineSet(()),
+        "second": InlineSet(()),
+    },
+}
+
+
+class TestCompiledLayout:
+    @pytest.mark.parametrize("slots", [0, 8, 16])
+    @pytest.mark.parametrize("case", sorted(_VALUE_CASES))
+    def test_decode_attr_matches_decode_for_every_kind(self, slots, case):
+        cls = every_kind_schema().cls("Every")
+        codec = cls.codec
+        values = _VALUE_CASES[case]
+        header = ObjectHeader(
+            cls.class_id, slot_count=slots, index_ids=[3] if slots else []
+        )
+        record = codec.encode(header, values)
+        decoded = codec.decode(record)
+        assert list(decoded) == [a.name for a in cls.all_attributes()]
+        for name in decoded:
+            assert codec.decode_attr(record, name) == decoded[name]
+        expected = dict(values)
+        if expected["owner"] == NIL_RID:
+            expected["owner"] = None
+        assert decoded == expected
+
+    def test_encoded_bytes_are_pinned(self):
+        """The storage format, byte by byte: header, scalars at fixed
+        offsets in layout order, then each set's tag/count prefix."""
+        cls = every_kind_schema().cls("Every")
+        header = ObjectHeader(cls.class_id, slot_count=8, index_ids=[5])
+        record = cls.codec.encode(
+            header,
+            {"label": "ab", "grade": "Q", "owner": Rid(3, 1, 4), "flag": True,
+             "weight": 2.5, "count": -7, "first": _INLINE,
+             "second": _OVERFLOW},
+        )
+        rid = struct.Struct("<hih")
+        expected = (
+            struct.pack("<BHBB", FLAG_PERSISTENT, cls.class_id, 8, 0)
+            + struct.pack("<8H", 5, 0, 0, 0, 0, 0, 0, 0)
+            + b"ab\x00\x00\x00\x00" + b"Q" + rid.pack(3, 1, 4)
+            + struct.pack("<?", True) + struct.pack("<d", 2.5)
+            + struct.pack("<i", -7)
+            + struct.pack("<BI", 0, 2) + rid.pack(1, 0, 0) + rid.pack(1, 2, 3)
+            + struct.pack("<BI", 1, 1000) + rid.pack(9, 4, 0)
+        )
+        assert record == expected
+
+    def test_update_scalar_matches_reencode(self):
+        cls = every_kind_schema().cls("Every")
+        values = dict(_VALUE_CASES["padded-string-nil-ref"])
+        header = ObjectHeader(cls.class_id, slot_count=16)
+        record = cls.codec.encode(header, values)
+        for name, new in (("label", "xyz"), ("count", 12), ("owner", Rid(0, 1, 2))):
+            record = cls.codec.update_scalar(record, name, new)
+            values[name] = new
+            assert record == cls.codec.encode(header, values)
+
+    def test_unknown_attribute_raises_schema_error(self):
+        cls = every_kind_schema().cls("Every")
+        record = cls.codec.encode(ObjectHeader(cls.class_id), {})
+        with pytest.raises(SchemaError, match="no attribute 'ghost'"):
+            cls.codec.decode_attr(record, "ghost")
+        with pytest.raises(SchemaError, match="no attribute 'ghost'"):
+            cls.codec.update_scalar(record, "ghost", 1)
+        with pytest.raises(SchemaError, match="set attribute"):
+            cls.codec.update_scalar(record, "first", InlineSet(()))
+
+    def test_class_def_is_immutable(self):
+        cls = patient_schema().cls("Patient")
+        assert isinstance(cls.attributes, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls.attributes = ()  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cls.schema_version = 3  # type: ignore[misc]
+
+    def test_evolution_builds_a_new_class_and_codec(self):
+        schema = patient_schema()
+        old = schema.cls("Patient")
+        new = schema.evolve("Patient", [AttributeDef("ward", AttrKind.INT32)])
+        assert new is not old and new.codec is not old.codec
+        assert new.codec.class_def is new
+        assert not old.has_attribute("ward")
+        assert "ward" not in old.codec.fields
+        assert new.attribute("ward").kind is AttrKind.INT32
+        assert [a.name for a in new.all_attributes()][-1] == "ward"
+        assert new.codec.scalar_size == old.codec.scalar_size + 4

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DanglingReferenceError, HandleError, ObjectError
+from repro.errors import (
+    DanglingReferenceError,
+    HandleError,
+    ObjectError,
+    SchemaError,
+)
 from repro.objects import (
     AttrKind,
     AttributeDef,
@@ -121,6 +126,43 @@ class TestHandleTable:
         table.charge_literal(fixed_size=False)
         assert clock.bucket_s(Bucket.HANDLE) > 0.0
 
+    @pytest.mark.parametrize("start", list(HandleMode))
+    @pytest.mark.parametrize("switched", list(HandleMode))
+    def test_mode_switch_reprices_every_charge(self, start, switched):
+        def trace(table, clock):
+            steps = []
+            rid = Rid(0, 0, 0)
+            h = table.get(rid, self.loader())        # allocate
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            table.get(rid, self.loader())            # touch
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            table.unreference(h)
+            table.unreference(h)                     # park
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            table.get(rid, self.loader())            # revive
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            table.charge_literal(fixed_size=True)
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            table.charge_literal(fixed_size=False)
+            steps.append(clock.bucket_s(Bucket.HANDLE))
+            return steps
+
+        clock, table = self.make(start)
+        table.mode = switched
+        assert table.mode is switched
+        fresh_clock, fresh = self.make(switched)
+        assert trace(table, clock) == trace(fresh, fresh_clock)
+
+    def test_full_mode_charge_amounts(self):
+        clock, table = self.make()
+        params = table.params
+        h = table.get(Rid(0, 0, 0), self.loader())
+        assert clock.bucket_s(Bucket.HANDLE) == params.handle_get_us / 1e6
+        table.unreference(h)
+        assert clock.bucket_s(Bucket.HANDLE) == (
+            params.handle_get_us / 1e6 + params.handle_unref_us / 1e6
+        )
+
     def test_memory_accounting(self):
         clock, table = self.make()
         h = table.get(Rid(0, 0, 0), self.loader())
@@ -193,6 +235,55 @@ class TestObjectManager:
         assert full.clock.bucket_s(Bucket.HANDLE) > inline.clock.bucket_s(
             Bucket.HANDLE
         )
+
+    def test_get_attr_charges_by_kind(self):
+        db = make_db()
+        params = db.params
+        doc = db.create_object("Provider", {"name": "A", "upin": 1}, "providers")
+        literal_pair = (params.handle_get_us + params.handle_unref_us) / 1e6
+        expected = {"upin": 0.0, "name": literal_pair, "clients": literal_pair}
+        for name, literal in expected.items():
+            with db.manager.borrow(doc) as handle:
+                db.reset_meters()
+                db.manager.get_attr(handle, name)
+                assert db.clock.bucket_s(Bucket.CPU) == params.attr_decode_us / 1e6
+                assert db.clock.bucket_s(Bucket.HANDLE) == literal
+
+    def test_record_written_before_evolution_reports_default(self):
+        db = make_db()
+        rid = db.create_object("Patient", {"mrn": 5, "age": 40}, "patients")
+        db.schema.evolve(
+            "Patient", [AttributeDef("ward", AttrKind.INT32, default=17)]
+        )
+        with db.manager.borrow(rid) as handle:
+            assert handle.class_def.schema_version == 0
+            assert db.manager.get_attr(handle, "ward") == 17
+            assert db.manager.get_attr(handle, "age") == 40
+        db.manager.upgrade_record(rid)
+        assert db.manager.get_attr_at(rid, "ward") == 17
+
+    def test_unknown_attribute_raises_schema_error(self):
+        db = make_db()
+        rid = db.create_object("Patient", {"mrn": 5}, "patients")
+        db.schema.evolve("Patient", [AttributeDef("ward", AttrKind.INT32)])
+        with db.manager.borrow(rid) as handle:
+            with pytest.raises(SchemaError, match="no attribute 'ghost'"):
+                db.manager.get_attr(handle, "ghost")
+        with pytest.raises(SchemaError, match="no attribute 'ghost'"):
+            db.manager.update_scalar(rid, "ghost", 1)
+        assert db.handles.live_count == 0
+
+    def test_borrow_unreferences_when_body_raises(self):
+        db = make_db()
+        rid = db.create_object("Patient", {"mrn": 5}, "patients")
+        with pytest.raises(RuntimeError, match="abort"):
+            with db.manager.borrow(rid) as handle:
+                assert handle.refcount == 1
+                assert db.handles.live_count == 1
+                raise RuntimeError("abort")
+        assert handle.refcount == 0
+        assert db.handles.live_count == 0
+        assert db.handles.parked_count == 1
 
     def test_header_of(self):
         db = make_db()
@@ -318,3 +409,31 @@ class TestDatabase:
         db.reset_meters()
         db.create_object("Patient", {"mrn": 1}, "patients")
         assert db.clock.bucket_s(Bucket.LOAD) > 0
+
+
+# ------------------------------------------------------------- SimClock
+
+class TestSimClockBuckets:
+    def test_breakdown_keeps_first_charge_order(self):
+        clock = SimClock()
+        order = [Bucket.REMOTE, Bucket.IO, Bucket.HANDLE, Bucket.CPU]
+        for bucket in order + order:
+            clock.charge_us(bucket, 1.0)
+        assert list(clock.breakdown()) == [b.value for b in order]
+        assert list(clock.snapshot()) == order
+
+    def test_since_is_in_name_order(self):
+        clock = SimClock()
+        clock.charge_us(Bucket.SWAP, 1.0)
+        earlier = clock.snapshot()
+        for bucket in (Bucket.REMOTE, Bucket.CPU, Bucket.IO):
+            clock.charge_ms(bucket, 2.0)
+        since = clock.since(earlier)
+        assert [b.value for b in since] == ["cpu", "io", "remote", "swap"]
+        assert since[Bucket.SWAP] == 0.0
+        assert since[Bucket.IO] == 0.002
+
+    def test_buckets_hash_by_identity(self):
+        assert len({*Bucket, *Bucket}) == len(Bucket)
+        assert {Bucket.IO: 1}[Bucket("io")] == 1
+        assert hash(Bucket.IO) == object.__hash__(Bucket.IO)
