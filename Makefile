@@ -105,6 +105,9 @@ artifacts: ## the final run the reproduction ships with
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# Caches and untracked outputs only: the committed results/ tables are
+# what the golden and BENCH checks compare against.
 clean:
-	rm -rf results/*.txt .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis wallbench/out lint-graph.dot
 	find . -name __pycache__ -type d -exec rm -rf {} +
+	-git clean -fq -- results

@@ -400,6 +400,15 @@ def cmd_mix(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ crash
 
+def _report_failures(results, name=lambda r: f"seed {r.seed}") -> int:
+    """Print every failure of a checker run to stderr, one line each
+    (``seed N: <failure>``); the exit status is 1 if any case failed."""
+    for r in results:
+        for failure in r.failures:
+            print(f"{name(r)}: {failure}", file=sys.stderr)
+    return 0 if all(r.ok for r in results) else 1
+
+
 def cmd_crash_demo(args: argparse.Namespace) -> int:
     """Crash a workload mix at a named point, then recover it."""
     from repro.recovery import CrashInjector
@@ -489,7 +498,7 @@ def cmd_crash_fuzz(args: argparse.Namespace) -> int:
         with open(args.csv, "w") as fh:
             fh.write(recovery_to_csv(rows))
         print(f"wrote {args.csv}")
-    return 0 if all(r.ok for r in results) else 1
+    return _report_failures(results, lambda r: f"seed {r.seed} point {r.point}")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -502,10 +511,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         check_determinism=not args.no_determinism,
     )
     print(summarize(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
+    return _report_failures(results)
 
 
 # ------------------------------------------------------------------ shard
@@ -585,10 +591,7 @@ def cmd_shard_chaos(args: argparse.Namespace) -> int:
         check_determinism=not args.no_determinism,
     )
     print(summarize_2pc(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
+    return _report_failures(results)
 
 
 # ------------------------------------------------------------------ failover
@@ -648,10 +651,7 @@ def cmd_failover_chaos(args: argparse.Namespace) -> int:
         check_determinism=not args.no_determinism,
     )
     print(summarize_failover(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
+    return _report_failures(results)
 
 
 # ------------------------------------------------------------------ layout

@@ -5,22 +5,11 @@ fresh tiny cluster, draws a shard count, partition scheme, workload
 shape and a :class:`~repro.dist.twopc.TwoPCInjector` crash point from
 one seeded stream, runs the mix until the injector kills the cluster,
 then runs :meth:`~repro.dist.cluster.ShardedCluster.crash` /
-:meth:`~repro.dist.cluster.ShardedCluster.recover` and asserts the
-atomic-commitment contract **across all shards**:
-
-* **committed-visible** — every write acked to a client, *plus* every
-  write of a distributed transaction whose commit decision record went
-  durable before the crash (decided-but-unacked: the client never heard
-  the commit, but the decision is the commit point), is in the durable
-  state after recovery;
-* **uncommitted-gone** — a hot patient's durable age is its preload
-  value or a value written by an acked/decided transaction: no branch
-  of an undecided distributed transaction survives, even a branch that
-  voted yes (presumed abort);
-* **nothing leaks** — after recovery no shard holds locks, waiters or
-  open transactions, and no distributed transaction is registered;
-* **determinism** — re-running the same seed on a fresh cluster crashes
-  at the same point and reproduces an identical digest.
+:meth:`~repro.dist.cluster.ShardedCluster.recover` and checks the
+:mod:`repro.verify` contract across all shards (docs/sharding.md).  A
+distributed transaction whose commit decision went durable before the
+crash won even if its client never heard the ack (decided-but-unacked);
+any other branch must be gone, even one that voted yes (presumed abort).
 
 A drawn occurrence can exceed the number of times the run reaches the
 crash point; those cases simply complete crash-free and are verified
@@ -42,13 +31,14 @@ from repro.dist.replication import (
 from repro.dist.twopc import TWOPC_CRASH_POINTS, TwoPCInjector
 from repro.dist.workload import ShardedMixConfig, ShardedWorkload
 from repro.simtime import Bucket
+from repro.verify import Verdict, audit_leaks, check_write_log, run_twice
 
 #: Scale of the per-case database: ~30 patients, loads in milliseconds.
 _SCALE = 0.00001
 
 
 @dataclass
-class TwoPCChaosResult:
+class TwoPCChaosResult(Verdict):
     """Outcome of one seeded 2PC chaos case."""
 
     seed: int
@@ -65,10 +55,6 @@ class TwoPCChaosResult:
     resolved_abort: int
     failures: list[str] = field(default_factory=list)
     digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _draw_case(
@@ -93,15 +79,67 @@ def _draw_case(
     return n_shards, scheme, lock_timeout_s, config, injector
 
 
-def _durable_ages(
-    cluster: ShardedCluster, hot_homes: list[tuple[int, object]]
+def _age(cluster: ShardedCluster, home: tuple[int, object]) -> int:
+    sid, rid = home
+    return int(cluster.nodes[sid].db.manager.get_attr_at(rid, "age"))
+
+
+def _preload(
+    cluster: ShardedCluster, config: ShardedMixConfig
 ) -> dict[tuple[int, object], int]:
+    """Each hot patient's ``(shard, rid)`` home and its age *before* the
+    run — the uncommitted-gone baseline."""
+    homes = []
+    for idx in range(min(config.hot_set, len(cluster.part.patient_shard))):
+        sid, local = cluster.part.patient_home(idx)
+        homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
+    return {home: _age(cluster, home) for home in homes}
+
+
+def _decided_globals(cluster: ShardedCluster) -> set[int]:
+    """Distributed transactions whose durable decision record says
+    commit: they won even if no client heard the ack."""
     return {
-        (sid, rid): int(
-            cluster.nodes[sid].db.manager.get_attr_at(rid, "age")
-        )
-        for sid, rid in hot_homes
+        record.txn_id
+        for record in cluster.decision_log.durable_records()
+        if record.kind == "commit"
     }
+
+
+def _verify(
+    cluster: ShardedCluster,
+    workload: ShardedWorkload,
+    preload: dict,
+    unacked: list[int],
+    keys: list | None = None,
+    exact=lambda home: True,
+) -> tuple[dict, list[str]]:
+    """The leak audit over every serving node and standby that is up,
+    then the write-log oracle whose winners are the acked writes
+    followed by the staged writes of ``unacked`` (won, never acked)."""
+    up = [
+        node
+        for node in [*cluster.nodes, *cluster.standbys.values()]
+        if not node.down
+    ]
+    failures = audit_leaks(
+        cluster.lock_table,
+        [(f"shard {n.shard_id} {n.role}", n.txm) for n in up],
+        [(f"shard {n.shard_id} {n.role}", n.db.handles) for n in up],
+        [(cluster.active_count, "distributed transactions registered")],
+    )
+    final, lost = check_write_log(
+        preload,
+        [
+            *workload.write_log,
+            *(w for gid in unacked for w in workload.staged.get(gid, [])),
+        ],
+        lambda home: _age(cluster, home),
+        keys=keys,
+        exact=exact,
+        name=lambda home: f"shard {home[0]} rid {tuple(home[1])}",
+    )
+    return final, failures + lost
 
 
 def _run_once(seed: int) -> TwoPCChaosResult:
@@ -112,14 +150,7 @@ def _run_once(seed: int) -> TwoPCChaosResult:
         scheme=scheme,
         lock_timeout_s=lock_timeout_s,
     )
-    part = cluster.part
-    hot = min(config.hot_set, len(part.patient_shard))
-    hot_homes = []
-    for idx in range(hot):
-        sid, local = part.patient_home(idx)
-        hot_homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
-    # Preload ages *before* the run — the uncommitted-gone baseline.
-    preload = _durable_ages(cluster, hot_homes)
+    preload = _preload(cluster, config)
 
     workload = ShardedWorkload(cluster, config)
     injector.arm(cluster)
@@ -133,64 +164,17 @@ def _run_once(seed: int) -> TwoPCChaosResult:
         if not injector.fired:
             failures.append("run crashed but the 2PC injector never fired")
         cluster.crash()
-        # The durable decision records name the distributed transactions
-        # whose commit *won* even if no client heard the ack.
-        decided_globals = {
-            record.txn_id
-            for record in cluster.decision_log.durable_records()
-            if record.kind == "commit"
-        }
-        decided_unacked = sorted(decided_globals - workload.acked_globals)
+        decided_unacked = sorted(
+            _decided_globals(cluster) - workload.acked_globals
+        )
         recovery = cluster.recover()
         resolved_commit = sum(r.txns_resolved_commit for r in recovery)
         resolved_abort = sum(r.txns_resolved_abort for r in recovery)
     elif injector.fired:
         failures.append("injector fired but the run did not crash")
 
-    # -- nothing leaks --------------------------------------------------
-    if cluster.lock_table.lock_count:
-        failures.append(f"{cluster.lock_table.lock_count} locks leaked")
-    if cluster.lock_table.waiting_count:
-        failures.append(
-            f"{cluster.lock_table.waiting_count} lock waiters leaked"
-        )
-    for node in cluster.nodes:
-        if node.txm.active_count:
-            failures.append(
-                f"shard {node.shard_id}: {node.txm.active_count} "
-                "transactions left open"
-            )
-    if cluster.active_count:
-        failures.append(
-            f"{cluster.active_count} distributed transactions registered"
-        )
-
-    # -- committed-visible / uncommitted-gone ---------------------------
-    expected = dict(preload)
-    for home, value in workload.write_log:
-        expected[home] = value
-    for global_id in decided_unacked:
-        for home, value in workload.staged.get(global_id, []):
-            expected[home] = value
-    legal = {home: {preload[home]} for home in preload}
-    for home, value in workload.write_log:
-        legal[home].add(value)
-    for global_id in decided_unacked:
-        for home, value in workload.staged.get(global_id, []):
-            legal[home].add(value)
-    final = _durable_ages(cluster, hot_homes)
-    for home, value in final.items():
-        sid, rid = home
-        if value != expected[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: expected {expected[home]}, "
-                f"durable value {value} (lost update)"
-            )
-        if value not in legal[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: durable value {value} was "
-                "never committed (dirty write survived)"
-            )
+    final, verified = _verify(cluster, workload, preload, decided_unacked)
+    failures += verified
 
     digest = tuple(
         (
@@ -232,15 +216,7 @@ def _run_once(seed: int) -> TwoPCChaosResult:
 
 def run_2pc_case(seed: int, check_determinism: bool = True) -> TwoPCChaosResult:
     """Run one seeded 2PC chaos case (twice when determinism-checked)."""
-    result = _run_once(seed)
-    if check_determinism:
-        again = _run_once(seed)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
-            )
-    return result
+    return run_twice(lambda: _run_once(seed), f"seed {seed}", check_determinism)
 
 
 def run_2pc_chaos(
@@ -269,22 +245,15 @@ def point_coverage(results: list[TwoPCChaosResult]) -> dict[str, int]:
 # at a drawn simulated time, at a drawn WAL-ship protocol point, or as
 # a double failure (primary killed, then the replica killed mid
 # promotion) — lets the failure detector and fenced failover run, and
-# verifies the replicated atomic-commitment contract:
-#
-# * sync mode: *zero acknowledged loss* — the post-failover durable
-#   state matches exactly the last-writer oracle over every acked write
-#   plus every decided- or replica-committed-but-unacked write;
-# * async mode: losses are confined to shards whose link reported a
-#   non-zero loss window (bounded by ``max_lag_records``), and every
-#   durable value was legally written (no dirty write ever survives);
-# * zero leaks, and digest-identical re-runs.
+# checks the same contract on every serving node and standby, plus its
+# own exemptions and protocol checks (docs/replication.md).
 
 #: How each failover chaos case kills the primary.
 FAILOVER_KILL_KINDS = ("timed", "ship", "double")
 
 
 @dataclass
-class FailoverChaosResult:
+class FailoverChaosResult(Verdict):
     """Outcome of one seeded primary-kill chaos case."""
 
     seed: int
@@ -304,10 +273,6 @@ class FailoverChaosResult:
     unavailable_s: float
     failures: list[str] = field(default_factory=list)
     digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _draw_failover_case(
@@ -377,13 +342,7 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
         ship_mode=ship_mode,
         max_lag_records=max_lag,
     )
-    part = cluster.part
-    hot = min(config.hot_set, len(part.patient_shard))
-    hot_homes = []
-    for idx in range(hot):
-        sid, local = part.patient_home(idx)
-        hot_homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
-    preload = _durable_ages(cluster, hot_homes)
+    preload = _preload(cluster, config)
 
     workload = ShardedWorkload(cluster, config)
     injector: ReplicationInjector | None = None
@@ -400,11 +359,6 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
     _settle_failover(cluster)
 
     killed = cluster.kills > 0
-    killed_shards = {
-        sid
-        for sid in range(cluster.n_shards)
-        if cluster.route.failovers[sid] or cluster.route.node_for(sid).down
-    }
     failed_over = any(cluster.route.failovers)
     failures: list[str] = []
 
@@ -431,34 +385,10 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
                     f"shard {sid} failed over with zero recorded downtime"
                 )
 
-    # -- nothing leaks ---------------------------------------------------
-    if cluster.lock_table.lock_count:
-        failures.append(f"{cluster.lock_table.lock_count} locks leaked")
-    if cluster.lock_table.waiting_count:
-        failures.append(
-            f"{cluster.lock_table.waiting_count} lock waiters leaked"
-        )
-    for node in cluster.nodes:
-        if not node.down and node.txm.active_count:
-            failures.append(
-                f"shard {node.shard_id}: {node.txm.active_count} "
-                "transactions left open"
-            )
-    if cluster.active_count:
-        failures.append(
-            f"{cluster.active_count} distributed transactions registered"
-        )
-
-    # -- committed-visible / uncommitted-gone ----------------------------
     # Unacked-but-won commits come from two places: durable decision
     # records (multi-shard 2PC), and branch commit records that reached
     # a promoted replica's durable log (one-phase commits whose ack
     # died with the primary).
-    decided_globals = {
-        record.txn_id
-        for record in cluster.decision_log.durable_records()
-        if record.kind == "commit"
-    }
     replica_committed: set[int] = set()
     for sid in range(cluster.n_shards):
         if not cluster.route.failovers[sid]:
@@ -470,55 +400,26 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
                 if global_id is not None:
                     replica_committed.add(global_id)
     extras = sorted(
-        (decided_globals | replica_committed) - workload.acked_globals
+        (_decided_globals(cluster) | replica_committed)
+        - workload.acked_globals
     )
-
-    expected = dict(preload)
-    for home, value in workload.write_log:
-        expected[home] = value
-    for global_id in extras:
-        for home, value in workload.staged.get(global_id, []):
-            expected[home] = value
-    legal = {home: {preload[home]} for home in preload}
-    for home, value in workload.write_log:
-        legal[home].add(value)
-    for global_id in extras:
-        for home, value in workload.staged.get(global_id, []):
-            legal[home].add(value)
 
     loss_window = max(cluster.loss_windows.values(), default=0)
     if ship_mode == "sync" and loss_window:
         failures.append(
             f"sync link reported a {loss_window}-record loss window"
         )
+    # A down shard cannot be read; an async shard whose link reported a
+    # loss window may have lost acked writes, so only legality holds.
     lossy_shards = {
         sid for sid, window in cluster.loss_windows.items() if window
     }
-    readable = [
-        home for home in hot_homes
-        if not cluster.route.node_for(home[0]).down
-    ]
-    final = {
-        home: int(
-            cluster.route.node_for(home[0]).db.manager.get_attr_at(
-                home[1], "age"
-            )
-        )
-        for home in readable
-    }
-    for home, value in final.items():
-        sid, rid = home
-        exact = ship_mode == "sync" or sid not in lossy_shards
-        if exact and value != expected[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: expected {expected[home]}, "
-                f"durable value {value} (acked write lost)"
-            )
-        if value not in legal[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: durable value {value} was "
-                "never committed (dirty write survived)"
-            )
+    final, verified = _verify(
+        cluster, workload, preload, extras,
+        keys=[home for home in preload if not cluster.nodes[home[0]].down],
+        exact=lambda home: ship_mode == "sync" or home[0] not in lossy_shards,
+    )
+    failures += verified
 
     total_unavailable_s = sum(
         cluster.shard_unavailable_s(sid) for sid in range(cluster.n_shards)
@@ -564,15 +465,11 @@ def run_failover_case(
     seed: int, ship_mode: str = "sync", check_determinism: bool = True
 ) -> FailoverChaosResult:
     """Run one seeded primary-kill case (twice when determinism-checked)."""
-    result = _run_failover_once(seed, ship_mode)
-    if check_determinism:
-        again = _run_failover_once(seed, ship_mode)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
-            )
-    return result
+    return run_twice(
+        lambda: _run_failover_once(seed, ship_mode),
+        f"seed {seed}",
+        check_determinism,
+    )
 
 
 def run_failover_chaos(

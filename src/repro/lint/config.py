@@ -32,6 +32,7 @@ DEFAULT_LAYER_ORDER = (
     "oo7",
     "oql",
     "opt",
+    "verify",
     "recovery",
     "bench",
     "service",

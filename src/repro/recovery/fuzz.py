@@ -3,16 +3,14 @@
 Each case builds a small durably-loaded database, runs a seeded random
 transactional workload with a :class:`CrashInjector` armed at one of the
 named crash points, crashes, restarts through the ARIES-lite driver and
-then verifies the recovery contract against an oracle kept outside the
-simulated system:
+then checks the :mod:`repro.verify` contract against an oracle kept
+outside the simulated system: leaks after restart, the write-log oracle
+(winners: the durably-committed transactions in commit-LSN order; exact
+for every record; loser-created records gone) and deterministic
+recovery.  Its own checks:
 
 * every transaction whose ``commit()`` returned (the ack) has a durable
   commit record — no lost acks;
-* the recovered value of every record equals the last write of the
-  durably-committed transactions, applied in commit-LSN order;
-* every object created by a loser transaction is gone;
-* recovery is deterministic: re-running the same (seed, crash point)
-  case reproduces the identical recovered state and report;
 * **snapshot consistency** (``mix-run`` cases): a snapshot-isolation
   reader runs alongside the writers, and every value it reads must
   equal the committed state of that record *at the reader's begin
@@ -43,6 +41,7 @@ from repro.recovery.aries import RecoveryReport, restart, take_checkpoint
 from repro.recovery.crash import CRASH_POINTS, CrashInjector, crash_database
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
+from repro.verify import Verdict, audit_leaks, check_write_log, run_twice
 
 #: Fixed-width filler so base records spread over several pages.
 _PAD = "x" * 96
@@ -61,7 +60,7 @@ _OCCURRENCE_RANGE = {
 
 
 @dataclass
-class FuzzResult:
+class FuzzResult(Verdict):
     """Outcome of one (seed, crash point) case."""
 
     seed: int
@@ -77,10 +76,6 @@ class FuzzResult:
     #: Canonical recovered state: ``((rid, value | None), ...)`` — used
     #: by the determinism check.
     digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _make_db(base_records: int = 96) -> tuple[Database, list[Rid]]:
@@ -149,38 +144,24 @@ def run_case(
     commit_order = [r.txn_id for r in txm.log.records if r.kind == "commit"]
     report = restart(db, txm)
 
-    failures: list[str] = list(snapshot_failures)
+    failures = snapshot_failures + audit_leaks(
+        txm.locks, [("", txm)], [("", db.handles)]
+    )
     durable = set(commit_order)
     for txn_id in acked:
         if txn_id not in durable:
             failures.append(f"txn {txn_id}: commit acked but not durable")
 
-    expected = dict(base)
-    for txn_id in commit_order:
-        expected.update(txn_writes.get(txn_id, {}))
-    loser_creates = [
-        rid
-        for txn_id, created in txn_creates.items()
-        if txn_id not in durable
-        for rid in created
-    ]
-    for rid in sorted(expected):
-        value = _read_x(db, rid)
-        if value != expected[rid]:
-            failures.append(
-                f"rid {tuple(rid)}: expected {expected[rid]}, found {value}"
-            )
-    for rid in sorted(loser_creates):
-        value = _read_x(db, rid)
-        if value is not None:
-            failures.append(
-                f"rid {tuple(rid)}: loser-created object survived ({value})"
-            )
+    winners = [w for t in commit_order for w in txn_writes.get(t, {}).items()]
+    loser_creates = sorted(
+        rid for t, rids in txn_creates.items() if t not in durable for rid in rids
+    )
+    final, lost = check_write_log(
+        base, winners, lambda rid: _read_x(db, rid), gone=loser_creates
+    )
+    failures += lost
 
-    digest = tuple(
-        (tuple(rid), _read_x(db, rid))
-        for rid in sorted(set(expected) | set(loser_creates))
-    ) + (
+    digest = tuple((tuple(rid), final[rid]) for rid in sorted(final)) + (
         report.log_records_scanned,
         report.records_redone,
         report.records_undone,
@@ -371,18 +352,15 @@ def run_fuzz(
     With ``check_determinism`` every case runs twice and the recovered
     state digests must match exactly.
     """
-    results = []
-    for point in points:
-        for seed in seeds:
-            result = run_case(seed, point, txns, checkpoint_every)
-            if check_determinism:
-                rerun = run_case(seed, point, txns, checkpoint_every)
-                if rerun.digest != result.digest:
-                    result.failures.append(
-                        f"non-deterministic recovery for seed={seed} point={point}"
-                    )
-            results.append(result)
-    return results
+    return [
+        run_twice(
+            lambda: run_case(seed, point, txns, checkpoint_every),
+            f"seed {seed} point {point}",
+            check_determinism,
+        )
+        for point in points
+        for seed in seeds
+    ]
 
 
 def summarize(results) -> str:
@@ -408,8 +386,5 @@ def summarize(results) -> str:
         )
     total = len(results)
     bad = [r for r in results if not r.ok]
-    lines.append(
-        f"{total} cases, {len(bad)} failed"
-        + ("" if not bad else f" (first: {bad[0].failures[0]})")
-    )
+    lines.append(f"{total} cases, {len(bad)} failed")
     return "\n".join(lines)

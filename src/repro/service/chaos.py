@@ -5,19 +5,8 @@ restart; this checker covers the *survivable* fault family.  Each case
 builds a fresh tiny Derby database, draws a mix shape, governor
 configuration and a :class:`~repro.recovery.TransientFaultInjector`
 (flaky page reads, lock-timeout storms) from one seeded stream, runs the
-mix, and asserts the robustness contract:
-
-* **nothing leaks** — when the run returns, the lock table holds zero
-  locks and zero waiters, no transaction is still open, and every
-  session's handle table is empty (live and parked);
-* **committed-visible** — every write whose ``commit()`` ack returned is
-  in the durable state; since the single timeline totally orders
-  commits, the last acked write per rid must equal the value read back;
-* **uncommitted-gone** — an age that was never committed never shows:
-  every hot-set age equals either its preload value or some acked write;
-* **determinism** — re-running the same seed on a fresh database
-  reproduces an identical digest (per-session outcome counters, elapsed
-  simulated time, final ages).
+mix, and checks the :mod:`repro.verify` contract plus its own checks
+(docs/service.md, Chaos).
 
 Lives in the service layer (not :mod:`repro.recovery`) because it
 drives the :class:`~repro.service.WorkloadMixer`; the layering rule
@@ -34,13 +23,14 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.recovery.transient import TransientFaultInjector
 from repro.service.workload import MixConfig, WorkloadMixer
+from repro.verify import Verdict, audit_leaks, check_write_log, run_twice
 
 #: Scale of the per-case database: ~30 patients, loads in milliseconds.
 _SCALE = 0.00001
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(Verdict):
     """Outcome of one seeded chaos case."""
 
     seed: int
@@ -56,10 +46,6 @@ class ChaosResult:
     conflicts: int = 0
     failures: list[str] = field(default_factory=list)
     digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
@@ -94,40 +80,28 @@ def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
     return config, faults
 
 
-def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
+def _run_once(seed: int) -> ChaosResult:
     derby = load_derby(DerbyConfig.db_1to3(scale=_SCALE))
     config, faults = _draw_case(seed)
+
+    def age(rid) -> int:
+        return int(derby.db.manager.get_attr_at(rid, "age"))
+
     # Preload ages *before* the run — the baseline the uncommitted-gone
     # check compares against (deterministic: same reads every run).
-    hot = min(config.hot_set, len(derby.patient_rids))
-    hot_rids = derby.patient_rids[:hot]
-    preload = {
-        rid: int(derby.db.manager.get_attr_at(rid, "age")) for rid in hot_rids
-    }
+    preload = {rid: age(rid) for rid in derby.patient_rids[: config.hot_set]}
     mixer = WorkloadMixer(derby, config, faults=faults)
     report = mixer.run()
     service = mixer.service
     assert service is not None
 
-    failures: list[str] = []
-
-    # -- nothing leaks --------------------------------------------------
-    locks = service.txm.locks
-    if locks.lock_count:
-        failures.append(f"{locks.lock_count} locks leaked")
-    if locks.waiting_count:
-        failures.append(f"{locks.waiting_count} lock waiters leaked")
-    if service.txm.active_count:
-        failures.append(f"{service.txm.active_count} transactions left open")
-    for session in service.sessions:
-        if session.handles.live_count:
-            failures.append(
-                f"session {session.name}: {session.handles.live_count} "
-                "live handles leaked"
-            )
     gate = service.governor.gate
-    if gate is not None and gate.queue_depth:
-        failures.append(f"{gate.queue_depth} sessions stuck in admission")
+    failures = audit_leaks(
+        service.txm.locks,
+        [("", service.txm)],
+        [(f"session {s.name}", s.handles) for s in service.sessions],
+        [(gate.queue_depth if gate else 0, "sessions stuck in admission")],
+    )
 
     # -- SI reads are lock-free -----------------------------------------
     # Under snapshot isolation the reader profiles resolve version
@@ -144,33 +118,13 @@ def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
                     " under si (snapshot reads must be lock-free)"
                 )
 
-    # -- committed-visible / uncommitted-gone ---------------------------
-    acked: dict = {}
-    for rid, value in mixer.write_log:
-        acked[rid] = value
-    legal: dict = {}
-    for rid in hot_rids:
-        legal[rid] = {preload[rid]} | {
-            v for r, v in mixer.write_log if r == rid
-        }
-    final = dict(preload)
-    for rid in acked:
-        if rid not in final:
+    # Every updater draws from the hot set, so an acked write outside it
+    # means the mix wrote where the preload baseline never looked.
+    for rid in dict(mixer.write_log):
+        if rid not in preload:
             failures.append(f"acked write to non-hot rid {tuple(rid)}")
-    for rid in hot_rids:
-        value = int(derby.db.manager.get_attr_at(rid, "age"))
-        final[rid] = value
-        expected = acked.get(rid)
-        if expected is not None and value != expected:
-            failures.append(
-                f"rid {tuple(rid)}: last acked write {expected}, "
-                f"durable value {value} (lost update)"
-            )
-        if value not in legal[rid]:
-            failures.append(
-                f"rid {tuple(rid)}: durable value {value} was never "
-                "committed (dirty write survived)"
-            )
+    final, lost = check_write_log(preload, mixer.write_log, age)
+    failures += lost
 
     digest = tuple(
         (
@@ -194,7 +148,7 @@ def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
         report.max_queue_depth,
         tuple(sorted((tuple(r), v) for r, v in final.items())),
     )
-    result = ChaosResult(
+    return ChaosResult(
         seed=seed,
         clients=config.total_clients,
         ops_per_client=config.ops_per_client,
@@ -209,20 +163,11 @@ def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
         failures=failures,
         digest=digest,
     )
-    return result, mixer
 
 
 def run_case(seed: int, check_determinism: bool = True) -> ChaosResult:
     """Run one seeded chaos case (twice when determinism-checked)."""
-    result, __ = _run_once(seed)
-    if check_determinism:
-        again, __ = _run_once(seed)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
-            )
-    return result
+    return run_twice(lambda: _run_once(seed), f"seed {seed}", check_determinism)
 
 
 def run_chaos(

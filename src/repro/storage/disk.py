@@ -168,11 +168,6 @@ class DiskManager:
 
     # -- crash semantics (recovery) ----------------------------------------
 
-    def durable_image(self, file_id: int, page_no: int) -> PageImage | None:
-        """The image the disk actually holds for a page, or ``None`` if
-        the page was allocated but never written."""
-        return self._durable.get((file_id, page_no))
-
     def crash(self) -> None:
         """Lose everything volatile: every page reverts to the image of
         its last :meth:`write_page`; pages that were allocated but never
