@@ -45,8 +45,12 @@ class LRUPolicy(ReplacementPolicy):
         self._order: OrderedDict[PageKey, None] = OrderedDict()
 
     def touch(self, key: PageKey) -> None:
-        self._order[key] = None
-        self._order.move_to_end(key)
+        # A cache hit is one dict operation; only a new key pays for
+        # the raised KeyError before it is appended (at the end, too).
+        try:
+            self._order.move_to_end(key)
+        except KeyError:
+            self._order[key] = None
 
     def evict(self) -> PageKey:
         key, __ = self._order.popitem(last=False)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
+from repro.units import US_PER_S
 
 #: Bytes per selected parent in a PHJ table (key + information).
 PHJ_ENTRY_BYTES = 64
@@ -77,6 +78,9 @@ class QueryHashTable:
         self._table: dict[object, list[object]] = {}
         self._entries = 0
         self._swap_accum = 0.0
+        #: Base CPU prices in seconds (bit-identical to ``charge_us``).
+        self._insert_s = params.hash_insert_us / US_PER_S
+        self._probe_s = params.hash_probe_us / US_PER_S
 
     # -- size / swap model ------------------------------------------------
 
@@ -102,8 +106,8 @@ class QueryHashTable:
             return 0.0
         return (size - self.budget_bytes) / size
 
-    def _charge_touch(self, base_us: float) -> None:
-        self.clock.charge_us(Bucket.CPU, base_us)
+    def _charge_touch(self, base_s: float) -> None:
+        self.clock.charge_s(Bucket.CPU, base_s)
         fraction = self.swapped_fraction
         if fraction > 0.0:
             self.clock.charge_ms(Bucket.SWAP, self.params.swap_fault_ms * fraction)
@@ -117,7 +121,7 @@ class QueryHashTable:
 
     def insert(self, key: object, payload: object) -> None:
         self._entries += 1
-        self._charge_touch(self.params.hash_insert_us)
+        self._charge_touch(self._insert_s)
         bucket = self._table.get(key)
         if bucket is None:
             self._table[key] = [payload]
@@ -126,13 +130,13 @@ class QueryHashTable:
 
     def probe(self, key: object) -> object | None:
         """First payload under ``key`` or ``None`` (PHJ keys are unique)."""
-        self._charge_touch(self.params.hash_probe_us)
+        self._charge_touch(self._probe_s)
         bucket = self._table.get(key)
         return bucket[0] if bucket else None
 
     def probe_all(self, key: object) -> Iterable[object]:
         """Every payload under ``key`` (CHJ groups children per parent)."""
-        self._charge_touch(self.params.hash_probe_us)
+        self._charge_touch(self._probe_s)
         return self._table.get(key, ())
 
     def __contains__(self, key: object) -> bool:

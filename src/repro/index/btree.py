@@ -18,11 +18,11 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import IndexError_
-from repro.objects.codec import decode_rid, encode_rid
+from repro.objects.codec import encode_rid, make_rid
 from repro.simtime import Bucket
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
@@ -35,14 +35,22 @@ LEAF_CAPACITY = 200
 _COUNT = struct.Struct("<I")
 _INT_KEY = struct.Struct("<q")
 _STR_KEY_WIDTH = 16
+#: One leaf entry, key then rid (the rid layout of ``encode_rid``), so a
+#: whole leaf decodes in one ``iter_unpack``.
+_INT_ENTRY = struct.Struct("<qhih")
+_STR_ENTRY = struct.Struct(f"<{_STR_KEY_WIDTH}shih")
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """One (key, rid) pair returned by scans."""
 
     key: object
     rid: Rid
+
+
+#: ``IndexEntry`` from a ready ``(key, rid)`` tuple, without the
+#: Python-level ``__new__`` of a NamedTuple: leaves decode at C speed.
+_make_entry = partial(tuple.__new__, IndexEntry)
 
 
 class _KeyCodec:
@@ -53,6 +61,8 @@ class _KeyCodec:
             raise IndexError_(f"unsupported index key type: {key_type.__name__}")
         self.key_type = key_type
         self.width = _INT_KEY.size if key_type is int else _STR_KEY_WIDTH
+        #: Struct of one leaf entry (key + rid).
+        self.entry = _INT_ENTRY if key_type is int else _STR_ENTRY
 
     def encode(self, key: object) -> bytes:
         if self.key_type is int:
@@ -60,12 +70,24 @@ class _KeyCodec:
         raw = str(key).encode("utf-8")[: self.width]
         return raw.ljust(self.width, b"\x00")
 
-    def decode(self, buf: bytes, offset: int) -> object:
+    def decode_entries(self, record: bytes) -> list[IndexEntry]:
+        """Every entry of an encoded leaf, in order: one ``iter_unpack``
+        over the leaf body."""
+        (count,) = _COUNT.unpack_from(record, 0)
+        start = _COUNT.size
+        body = record[start : start + count * self.entry.size]
         if self.key_type is int:
-            return _INT_KEY.unpack_from(buf, offset)[0]
-        return buf[offset : offset + self.width].rstrip(b"\x00").decode(
-            "utf-8", "replace"
-        )
+            return [
+                _make_entry((key, make_rid((file_id, page_no, slot))))
+                for key, file_id, page_no, slot in self.entry.iter_unpack(body)
+            ]
+        return [
+            _make_entry((
+                raw.rstrip(b"\x00").decode("utf-8", "replace"),
+                make_rid((file_id, page_no, slot)),
+            ))
+            for raw, file_id, page_no, slot in self.entry.iter_unpack(body)
+        ]
 
 
 class BTreeIndex:
@@ -152,14 +174,15 @@ class BTreeIndex:
             entries = self._read_leaf(leaf_no)
             if low is not None and entries and entries[-1][0] < low:
                 continue
-            for key, rid in entries:
+            for entry in entries:
+                key = entry[0]
                 if low is not None:
                     if key < low or (not include_low and key == low):
                         continue
                 if high is not None:
                     if key > high or (not include_high and key == high):
                         return
-                yield IndexEntry(key, rid)
+                yield entry
 
     # -- maintenance -----------------------------------------------------------
 
@@ -262,20 +285,8 @@ class BTreeIndex:
             parts.append(encode_rid(rid))
         return b"".join(parts)
 
-    def _decode_leaf(self, record: bytes) -> list[tuple[object, Rid]]:
-        (count,) = _COUNT.unpack_from(record, 0)
-        entries: list[tuple[object, Rid]] = []
-        offset = _COUNT.size
-        stride = self.codec.width + Rid.DISK_SIZE
-        for __ in range(count):
-            key = self.codec.decode(record, offset)
-            rid = decode_rid(record, offset + self.codec.width)
-            entries.append((key, rid))
-            offset += stride
-        return entries
-
-    def _read_leaf(self, leaf_no: int) -> list[tuple[object, Rid]]:
-        return self._decode_leaf(self.file.read(self._leaf_rids[leaf_no]))
+    def _read_leaf(self, leaf_no: int) -> list[IndexEntry]:
+        return self.codec.decode_entries(self.file.read(self._leaf_rids[leaf_no]))
 
     def _placement_leaf(self, key: object, rid: Rid) -> int:
         """Leaf where the (key, rid) pair belongs under global

@@ -46,11 +46,11 @@ def encode_rid(rid: Rid) -> bytes:
 
 
 #: ``Rid`` from an unpacked ``(file_id, page_no, slot)`` tuple, at C speed.
-_make_rid = partial(tuple.__new__, Rid)
+make_rid = partial(tuple.__new__, Rid)
 
 
 def decode_rid(buf: bytes, offset: int = 0) -> Rid:
-    return _make_rid(_RID.unpack_from(buf, offset))
+    return make_rid(_RID.unpack_from(buf, offset))
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ class RecordCodec:
             head = decode_rid(record, offset)
             return OverflowSet(head, count), offset + _RID.size
         end = offset + count * _RID.size
-        rids = tuple(map(_make_rid, _RID.iter_unpack(record[offset:end])))
+        rids = tuple(map(make_rid, _RID.iter_unpack(record[offset:end])))
         return InlineSet(rids), end
 
 
@@ -234,7 +234,7 @@ def _scalar_reader(attr: AttributeDef, offset: int) -> Callable[[bytes], object]
         unpack_rid = _RID.unpack_from
 
         def read_ref(record: bytes) -> object:
-            rid = _make_rid(unpack_rid(record, FIXED_SIZE + 2 * record[3] + offset))
+            rid = make_rid(unpack_rid(record, FIXED_SIZE + 2 * record[3] + offset))
             return None if rid == NIL_RID else rid
 
         return read_ref

@@ -24,6 +24,7 @@ from repro.errors import HandleError
 from repro.objects.model import ClassDef
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.rid import Rid
+from repro.units import US_PER_S
 
 #: Bytes of a full O2 handle (paper, Section 4.4).
 FULL_HANDLE_BYTES = 60
@@ -145,8 +146,11 @@ class HandleTable:
 
     def _price(self) -> None:
         """Resolve every handle charge for the current params and mode,
-        once instead of on every charge (same float operations, so the
-        same amounts).
+        once instead of on every charge, in seconds: ``charge_us`` adds
+        ``us / US_PER_S``, so dividing here once and charging with
+        ``charge_s`` adds bit-identical amounts.  The per-attribute
+        decode charge of :meth:`ObjectManager.get_attr` is priced here
+        too (``attr_decode_s``).
 
         Literal handles (:meth:`charge_literal`): FULL mode pays the full
         get+unref pair; COMPACT_LITERALS pays the compact pair;
@@ -173,22 +177,27 @@ class HandleTable:
         elif mode is HandleMode.INLINE_TUPLES:
             literal_fixed = None
             literal_variable = compact_pair
-        self._touch_us = touch
-        self._alloc_us = alloc
-        self._unref_us = unref
-        self._literal_fixed_us = literal_fixed
-        self._literal_variable_us = literal_variable
+        self._touch_s = touch / US_PER_S
+        self._alloc_s = alloc / US_PER_S
+        self._unref_s = unref / US_PER_S
+        self._literal_fixed_s = (
+            None if literal_fixed is None else literal_fixed / US_PER_S
+        )
+        self._literal_variable_s = literal_variable / US_PER_S
+        self.attr_decode_s = params.attr_decode_us / US_PER_S
 
     # -- object handles -------------------------------------------------
 
     def get(
         self,
         rid: Rid,
-        loader: Callable[[], tuple[bytes, ClassDef]],
+        loader: Callable[[Rid], tuple[bytes, ClassDef]],
         version: int | None = None,
     ) -> Handle:
-        """Return a referenced handle for ``rid``, loading the record via
-        ``loader`` only if no handle exists yet.
+        """Return a referenced handle for ``rid``, loading the record with
+        ``loader(rid)`` only if no handle exists yet (the object manager
+        passes its bound ``read_record``, so no closure is built per
+        load).
 
         With ``version`` (a commit timestamp), the handle represents
         that *version chain entry* instead of the live record: its
@@ -200,56 +209,63 @@ class HandleTable:
         handle = self._live.get(rid)
         if handle is not None:
             handle.refcount += 1
-            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+            self.clock.charge_s(Bucket.HANDLE, self._touch_s)
             return handle
         handle = self._parked.pop(rid, None)
         if handle is not None:
             handle.refcount = 1
             self._live[rid] = handle
-            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+            self.clock.charge_s(Bucket.HANDLE, self._touch_s)
             return handle
-        record, class_def = loader()
+        record, class_def = loader(rid)
         handle = Handle(rid, record, class_def)
         self._live[rid] = handle
         self.counters.handles_allocated += 1
-        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
+        self.clock.charge_s(Bucket.HANDLE, self._alloc_s)
         return handle
 
     def _get_versioned(
         self,
         rid: Rid,
-        loader: Callable[[], tuple[bytes, ClassDef]],
+        loader: Callable[[Rid], tuple[bytes, ClassDef]],
         version: int,
     ) -> Handle:
         key = (rid, version)
         handle = self._versioned.get(key)
         if handle is not None:
             handle.refcount += 1
-            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+            self.clock.charge_s(Bucket.HANDLE, self._touch_s)
             return handle
-        record, class_def = loader()
+        record, class_def = loader(rid)
         handle = Handle(rid, record, class_def)
         handle.version = version
         self._versioned[key] = handle
         self.counters.handles_allocated += 1
-        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
+        self.clock.charge_s(Bucket.HANDLE, self._alloc_s)
         return handle
 
     def unreference(self, handle: Handle) -> None:
-        """Drop one reference; park the handle when none remain (version
+        """Drop one reference; at zero, park the handle in the bounded
+        delayed-free FIFO, evicting its oldest entry when full (version
         handles are freed outright — the snapshot that needed them is
         the only plausible re-user)."""
         if handle.refcount <= 0:
             raise HandleError(f"double unreference of {handle!r}")
         handle.refcount -= 1
         self.counters.handles_unreferenced += 1
-        self.clock.charge_us(Bucket.HANDLE, self._unref_us)
+        self.clock.charge_s(Bucket.HANDLE, self._unref_s)
         if handle.refcount == 0:
             if handle.version is not None:
                 self._versioned.pop((handle.rid, handle.version), None)
-            else:
-                del self._live[handle.rid]
-                self._park(handle)
+                return
+            rid = handle.rid
+            del self._live[rid]
+            capacity = self.delayed_free_capacity
+            if capacity:
+                parked = self._parked
+                parked[rid] = handle
+                while len(parked) > capacity:
+                    parked.popitem(last=False)
 
     # -- literal handles ----------------------------------------------------
 
@@ -257,12 +273,12 @@ class HandleTable:
         """Account for the handle O2 gives a string/complex-value literal
         when an attribute of that kind is materialized; the amount
         depends on the :class:`HandleMode` (see :meth:`_price`)."""
-        us = self._literal_fixed_us if fixed_size else self._literal_variable_us
-        if us is None:
+        seconds = self._literal_fixed_s if fixed_size else self._literal_variable_s
+        if seconds is None:
             return
         self.counters.handles_allocated += 1
         self.counters.handles_unreferenced += 1
-        self.clock.charge_us(Bucket.HANDLE, us)
+        self.clock.charge_s(Bucket.HANDLE, seconds)
 
     # -- introspection ----------------------------------------------------
 
@@ -306,12 +322,3 @@ class HandleTable:
         ]
         for key in stale_versions:
             del self._versioned[key]
-
-    # -- internals -------------------------------------------------------
-
-    def _park(self, handle: Handle) -> None:
-        if self.delayed_free_capacity == 0:
-            return
-        self._parked[handle.rid] = handle
-        while len(self._parked) > self.delayed_free_capacity:
-            self._parked.popitem(last=False)

@@ -38,6 +38,11 @@ _FIXED = struct.Struct("<BHBB")
 #: ``FIXED_SIZE + 2 * record[3]`` (:meth:`ObjectHeader.peek_size`).
 FIXED_SIZE = _FIXED.size
 
+#: ``peek_class_key(record)`` -> ``(class_id, schema_version)``: the exact
+#: class version a record was written under, in one C-level unpack (it
+#: skips the flags and slot-count bytes of the fixed part).
+peek_class_key = struct.Struct("<xHxB").unpack_from
+
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02
 FLAG_DELETED = 0x04

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.errors import DanglingReferenceError, ObjectError, SchemaError
 from repro.objects.codec import InlineSet, OverflowSet, RecordCodec
 from repro.objects.handle import Handle, HandleTable
-from repro.objects.header import ObjectHeader
+from repro.objects.header import ObjectHeader, peek_class_key
 from repro.objects.model import AttrKind, ClassDef, Schema
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
@@ -59,15 +59,22 @@ class ObjectManager:
 
     def read_record(self, rid: Rid) -> tuple[bytes, ClassDef]:
         """Raw record + exact class *at the record's schema version*,
-        through the page caches, no handle."""
-        record, __ = self.file_for(rid).read_resolving(rid)
+        through the page caches, no handle.  This is the loader the
+        handle table calls on a miss (``loader(rid)``)."""
+        sfile = self._files.get(rid.file_id)
+        if sfile is None:
+            sfile = self.file_for(rid)  # raises DanglingReferenceError
+        record, __ = sfile.read_resolving(rid)
         return record, self._class_of(record)
 
     def _class_of(self, record: bytes) -> ClassDef:
-        return self.schema.class_version(
-            ObjectHeader.peek_class_id(record),
-            ObjectHeader.peek_schema_version(record),
-        )
+        """One dict hit on the header's (class id, schema version); the
+        schema's ``class_version`` raises for unknown ones."""
+        key = peek_class_key(record)
+        class_def = self.schema.versions.get(key)
+        if class_def is None:
+            return self.schema.class_version(*key)
+        return class_def
 
     def load(self, rid: Rid) -> Handle:
         """Get a referenced handle for the object at ``rid`` ("get Handle
@@ -76,7 +83,7 @@ class ObjectManager:
         *version* of the object, which may differ from the live record."""
         if self.read_view is not None:
             return self.read_view.load(self, rid)
-        return self.handles.get(rid, lambda: self.read_record(rid))
+        return self.handles.get(rid, self.read_record)
 
     def unref(self, handle: Handle) -> None:
         """"unreference h" in Figure 8."""
@@ -102,7 +109,7 @@ class ObjectManager:
         written, the attribute's declared default is returned.
         """
         handles = self.handles
-        handles.clock.charge_us(Bucket.CPU, handles.params.attr_decode_us)
+        handles.clock.charge_s(Bucket.CPU, handles.attr_decode_s)
         field = handle.class_def.codec.fields.get(name)
         if field is None:
             return self._evolved_default(handle.class_def, name)
@@ -209,19 +216,25 @@ class ObjectManager:
 class Borrow:
     """What :meth:`ObjectManager.borrow` returns: the handle is loaded on
     construction and unreferenced on exit, whether or not the ``with``
-    body raised."""
+    body raised.  Both ends go straight to the handle table (or the
+    installed snapshot view): the same calls ``load`` and ``unref``
+    make, one Python frame shallower on the hottest path."""
 
     __slots__ = ("_manager", "_handle")
 
     def __init__(self, manager: ObjectManager, rid: Rid):
         self._manager = manager
-        self._handle = manager.load(rid)
+        view = manager.read_view
+        if view is None:
+            self._handle = manager.handles.get(rid, manager.read_record)
+        else:
+            self._handle = view.load(manager, rid)
 
     def __enter__(self) -> Handle:
         return self._handle
 
     def __exit__(self, *exc_info: object) -> None:
-        self._manager.unref(self._handle)
+        self._manager.handles.unreference(self._handle)
 
 
 def require_class(schema: Schema, name: str) -> ClassDef:

@@ -163,6 +163,12 @@ class Schema:
         self._by_id: dict[int, ClassDef] = {}
         #: class_id -> every version of the class, oldest first.
         self._history: dict[int, list[ClassDef]] = {}
+        #: (class_id, schema_version) -> that version: the record read
+        #: path's class lookup, one dict hit keyed on what an object
+        #: header carries.  Filled as versions are appended to the
+        #: history, which never rewrites one, so entries never go stale;
+        #: its size is the number of class versions.
+        self.versions: dict[tuple[int, int], ClassDef] = {}
         self._next_id = 1
 
     def define(
@@ -184,6 +190,7 @@ class Schema:
         self._by_name[name] = cls
         self._by_id[cls.class_id] = cls
         self._history[cls.class_id] = [cls]
+        self.versions[(cls.class_id, 0)] = cls
         return cls
 
     def evolve(self, name: str, new_attributes: list[AttributeDef]) -> ClassDef:
@@ -218,10 +225,12 @@ class Schema:
         self._by_name[name] = evolved
         self._by_id[current.class_id] = evolved
         self._history[current.class_id].append(evolved)
+        self.versions[(evolved.class_id, evolved.schema_version)] = evolved
         return evolved
 
     def class_version(self, class_id: int, version: int) -> ClassDef:
-        """The definition of ``class_id`` as of ``version``."""
+        """The definition of ``class_id`` as of ``version`` (the checked
+        path: :attr:`versions` holds the same entries, without errors)."""
         history = self._history.get(class_id)
         if history is None:
             raise SchemaError(f"unknown class id {class_id}")

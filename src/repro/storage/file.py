@@ -15,7 +15,7 @@ from typing import Iterator
 from repro.errors import RecordNotFoundError
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager, Pager
-from repro.storage.page import Page
+from repro.storage.page import Forward, Page
 from repro.storage.rid import Rid
 
 #: Fraction of a page usable by records before growth slack kicks in.
@@ -76,18 +76,21 @@ class StorageFile:
 
     def read_resolving(self, rid: Rid) -> tuple[bytes, Rid]:
         """Like :meth:`read` but also returns the rid where the record
-        actually lives, so callers can repair stale references."""
-        self._check_file(rid)
-        page = self.pager.get_page(rid.file_id, rid.page_no)
-        target = page.forward_target(rid.slot)
-        if target is None:
-            return page.read(rid.slot), rid
-        fpage = self.pager.get_page(target.file_id, target.page_no)
-        if fpage.forward_target(target.slot) is not None:
+        actually lives, so callers can repair stale references.  One
+        slot fetch per page visited (:meth:`Page.entry`)."""
+        file_id, page_no, slot = rid
+        if file_id != self.file_id:
+            self._check_file(rid)  # raises RecordNotFoundError
+        entry = self.pager.get_page(file_id, page_no).entry(slot)
+        if entry.__class__ is not Forward:
+            return entry, rid
+        target = entry.target
+        entry = self.pager.get_page(target.file_id, target.page_no).entry(target.slot)
+        if entry.__class__ is Forward:
             raise RecordNotFoundError(
                 f"forwarding chain longer than one hop at {rid} -> {target}"
             )
-        return fpage.read(target.slot), target
+        return entry, target
 
     def update(self, rid: Rid, record: bytes) -> Rid:
         """Replace the record at ``rid``.

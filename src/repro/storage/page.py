@@ -22,8 +22,11 @@ PAGE_HEADER_SIZE = 32
 #: Bytes of slot-directory bookkeeping per record.
 SLOT_OVERHEAD = 4
 
-#: Marker object stored in a slot whose record moved; holds the new rid.
-class _Forward:
+class Forward:
+    """Marker stored in a slot whose record moved; holds the new rid.
+    :meth:`Page.entry` returns it, so a reader tells a forwarded slot
+    from a live record (``bytes``) by type alone."""
+
     __slots__ = ("target",)
 
     def __init__(self, target: Rid) -> None:
@@ -68,7 +71,7 @@ class Page:
             raise ValueError(f"page size {page_size} too small")
         self.file_id = file_id
         self.page_no = page_no
-        self._slots: list[bytes | _Forward | None] = []
+        self._slots: list[bytes | Forward | None] = []
         self._used = 0
         self.capacity = page_size - PAGE_HEADER_SIZE
         self.dirty = False
@@ -130,11 +133,27 @@ class Page:
         forwarding-aware error for moved records (callers resolve moves
         through :meth:`forward_target`).
         """
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        entry = self.entry(slot)
+        if isinstance(entry, Forward):
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} was "
                 f"forwarded to {entry.target}; resolve via forward_target()"
+            )
+        return entry
+
+    def entry(self, slot: int) -> bytes | Forward:
+        """The raw content of ``slot``: the record's bytes, or a
+        :class:`Forward` for a moved record.  Raises
+        :class:`RecordNotFoundError` for a slot that does not exist or
+        was deleted.  The one slot fetch the record read path makes."""
+        if not 0 <= slot < len(self._slots):
+            raise RecordNotFoundError(
+                f"no slot {slot} on page {self.file_id}:{self.page_no}"
+            )
+        entry = self._slots[slot]
+        if entry is None:
+            raise RecordNotFoundError(
+                f"slot {slot} of page {self.file_id}:{self.page_no} was deleted"
             )
         return entry
 
@@ -144,8 +163,8 @@ class Page:
         Returns ``True`` on success, ``False`` when the new record does
         not fit (the caller must then move the record to another page).
         """
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        entry = self.entry(slot)
+        if isinstance(entry, Forward):
             raise RecordNotFoundError(
                 f"cannot update forwarded slot {slot} of page "
                 f"{self.file_id}:{self.page_no}"
@@ -160,8 +179,8 @@ class Page:
 
     def delete(self, slot: int) -> None:
         """Drop the record at ``slot``; its space becomes reusable."""
-        entry = self._entry(slot)
-        size = entry.target.DISK_SIZE if isinstance(entry, _Forward) else len(entry)
+        entry = self.entry(slot)
+        size = entry.target.DISK_SIZE if isinstance(entry, Forward) else len(entry)
         self._slots[slot] = None
         self._used -= size + SLOT_OVERHEAD
         self.dirty = True
@@ -169,28 +188,28 @@ class Page:
     def forward(self, slot: int, target: Rid) -> None:
         """Replace the record at ``slot`` with a forwarding entry to
         ``target`` (the record was reallocated on another page)."""
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        entry = self.entry(slot)
+        if isinstance(entry, Forward):
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} is "
                 "already forwarded"
             )
         self._used -= len(entry) + SLOT_OVERHEAD
         self._used += Rid.DISK_SIZE + SLOT_OVERHEAD
-        self._slots[slot] = _Forward(target)
+        self._slots[slot] = Forward(target)
         self.dirty = True
 
     def forward_target(self, slot: int) -> Rid | None:
         """The rid a forwarded slot points at, or ``None`` if the slot
         holds a live record."""
-        entry = self._entry(slot)
-        return entry.target if isinstance(entry, _Forward) else None
+        entry = self.entry(slot)
+        return entry.target if isinstance(entry, Forward) else None
 
     def repoint(self, slot: int, target: Rid) -> None:
         """Re-aim an existing forwarding entry (chain collapse when a
         moved record moves again)."""
-        entry = self._entry(slot)
-        if not isinstance(entry, _Forward):
+        entry = self.entry(slot)
+        if not isinstance(entry, Forward):
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} is not "
                 "forwarded"
@@ -208,7 +227,7 @@ class Page:
         """Snapshot the page's logical content as an immutable image."""
         return PageImage(
             slots=tuple(
-                s.target if isinstance(s, _Forward) else s for s in self._slots
+                s.target if isinstance(s, Forward) else s for s in self._slots
             ),
             used=self._used,
             page_lsn=self.page_lsn,
@@ -218,7 +237,7 @@ class Page:
         """Overwrite the page's content with ``image`` (disk-crash
         rollback to the durable version, or a redo of an after-image)."""
         self._slots = [
-            _Forward(s) if isinstance(s, Rid) else s for s in image.slots
+            Forward(s) if isinstance(s, Rid) else s for s in image.slots
         ]
         self._used = image.used
         self.page_lsn = image.page_lsn
@@ -243,7 +262,7 @@ class Page:
                 continue
             while len(self._slots) <= slot:
                 self._slots.append(None)
-            self._slots[slot] = _Forward(b) if isinstance(b, Rid) else b
+            self._slots[slot] = Forward(b) if isinstance(b, Rid) else b
         # An undone insert leaves a dead slot at the tail rather than
         # shrinking the directory: slot numbers (and hence rids) are
         # never reused, same as delete().
@@ -255,23 +274,9 @@ class Page:
         for s in self._slots:
             if isinstance(s, bytes):
                 used += len(s) + SLOT_OVERHEAD
-            elif isinstance(s, _Forward):
+            elif isinstance(s, Forward):
                 used += Rid.DISK_SIZE + SLOT_OVERHEAD
         self._used = used
-
-    # -- internals -----------------------------------------------------
-
-    def _entry(self, slot: int) -> bytes | _Forward:
-        if not 0 <= slot < len(self._slots):
-            raise RecordNotFoundError(
-                f"no slot {slot} on page {self.file_id}:{self.page_no}"
-            )
-        entry = self._slots[slot]
-        if entry is None:
-            raise RecordNotFoundError(
-                f"slot {slot} of page {self.file_id}:{self.page_no} was deleted"
-            )
-        return entry
 
     def __repr__(self) -> str:
         return (

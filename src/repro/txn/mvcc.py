@@ -247,7 +247,7 @@ class SnapshotView:
                 )
             if tag is not LIVE:
                 break
-            handle = om.handles.get(rid, lambda: om.read_record(rid))
+            handle = om.handles.get(rid, om.read_record)
             # Materializing may have faulted and yielded the baton: a
             # writer can land its in-place update between the visibility
             # decision above and the page read.  Re-check; the writer
@@ -257,7 +257,7 @@ class SnapshotView:
                 return handle
             om.unref(handle)
 
-        def load_version():
+        def load_version(rid: Rid):
             self.store.clock.charge_us(
                 Bucket.LOAD, self.store.params.version_read_us
             )

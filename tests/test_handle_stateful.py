@@ -36,7 +36,7 @@ class HandleMachine(RuleBasedStateMachine):
     @rule(n=_RIDS)
     def get(self, n):
         rid = Rid(0, n, 0)
-        handle = self.table.get(rid, lambda: (b"\x01\x01\x00\x00\x00", self.cls))
+        handle = self.table.get(rid, lambda rid: (b"\x01\x01\x00\x00\x00", self.cls))
         previous = self.refcounts.get(n, 0)
         if previous > 0:
             # Must be shared, not duplicated.

@@ -62,7 +62,7 @@ class TestHandleTable:
 
     def loader(self):
         schema = derby_like_schema()
-        return lambda: (b"\x01\x01\x00\x00payload", schema.cls("Patient"))
+        return lambda rid: (b"\x01\x01\x00\x00payload", schema.cls("Patient"))
 
     def test_get_allocates_once_and_shares(self):
         clock, table = self.make()
